@@ -444,8 +444,8 @@ def cmd_warm(args: argparse.Namespace) -> int:
 
     artifacts = _artifacts(args)
     artifacts.warm()
-    report = pipeline.get_report()
-    print(report.render())
+    if not args.report:  # with --report, main prints it to stderr instead
+        print(pipeline.get_report().render())
     store = pipeline.get_store()
     if store.disk_enabled:
         print(f"disk cache: {store.cache_dir}")

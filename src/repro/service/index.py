@@ -8,6 +8,11 @@ indicator shape the enrichment API accepts — name, name+version, SHA256
 signature, ecosystem, family/group id, actor alias — with dictionary
 lookups.
 
+Every package-id bucket is an insertion-ordered ``dict[PackageId,
+None]`` used as an ordered set: membership, insertion and removal are
+O(1), so the build is linear in entries + group memberships + report
+package mentions, and lookups return ids in first-insertion order.
+
 The index stores :class:`~repro.ecosystem.package.PackageId` keys only
 and resolves entries through the live dataset reference, which is what
 lets :mod:`repro.service.refresh` swap in a merged dataset and index the
@@ -67,21 +72,32 @@ def _deletion_variants(norm: str) -> Set[str]:
     return variants
 
 
+def _discard(buckets: Dict[str, Dict], key: str, pid) -> None:
+    """Drop ``pid`` from the ordered-set bucket ``buckets[key]``, and the
+    bucket itself once it empties."""
+    bucket = buckets.get(key)
+    if bucket is None or pid not in bucket:
+        return
+    del bucket[pid]
+    if not bucket:
+        del buckets[key]
+
+
 class IntelIndex:
     """One-pass inverted indexes over a built :class:`MalGraph`."""
 
     def __init__(self, dataset: MalwareDataset, graph: Optional[PropertyGraph] = None):
         self.dataset = dataset
         self.graph = graph
-        self._by_name: Dict[str, List] = {}  # lowercase name -> [PackageId]
-        self._by_sha: Dict[str, List] = {}
-        self._by_ecosystem: Dict[str, List] = {}
+        # package-id buckets are ordered sets: {PackageId: None}
+        self._by_name: Dict[str, Dict] = {}  # lowercase name -> ids
+        self._by_sha: Dict[str, Dict] = {}
+        self._by_ecosystem: Dict[str, Dict] = {}
         self._groups_of: Dict[object, List[str]] = {}  # PackageId -> [group id]
-        self._group_members: Dict[str, List] = {}
+        self._group_members: Dict[str, Dict] = {}
         self._group_kind: Dict[str, GroupKind] = {}
         self._actors_of: Dict[object, List[str]] = {}
-        self._actor_packages: Dict[str, List] = {}  # lowercase alias -> ids
-        self._actor_label: Dict[str, str] = {}
+        self._actor_packages: Dict[str, Dict] = {}  # lowercase alias -> ids
         self._norm_names: Dict[str, Set[str]] = {}  # normalized -> lowercase names
         self._deletions: Dict[str, Set[str]] = {}  # variant -> normalized names
         self._indexed_reports: Set[str] = set()
@@ -114,21 +130,21 @@ class IntelIndex:
         The snapshot-swap refresh (:mod:`repro.service.refresh`) applies
         a delta to a clone while lock-free readers keep resolving
         against the original, then publishes the clone atomically. Every
-        mutable container (the bucket dicts and their lists/sets) is
-        copied one level deep — entries, package ids and reports are
-        value objects shared by reference; the dataset and graph
-        references carry over and are retargeted by the refresh itself.
+        mutable container is copied one level deep: the ordered-dict
+        package-id buckets, the per-package group/actor lists and the
+        name sets. Entries, package ids and reports are value objects
+        shared by reference; the dataset and graph references carry over
+        and are retargeted by the refresh itself.
         """
         other = IntelIndex(self.dataset, self.graph)
-        other._by_name = {k: list(v) for k, v in self._by_name.items()}
-        other._by_sha = {k: list(v) for k, v in self._by_sha.items()}
-        other._by_ecosystem = {k: list(v) for k, v in self._by_ecosystem.items()}
+        other._by_name = {k: dict(v) for k, v in self._by_name.items()}
+        other._by_sha = {k: dict(v) for k, v in self._by_sha.items()}
+        other._by_ecosystem = {k: dict(v) for k, v in self._by_ecosystem.items()}
         other._groups_of = {k: list(v) for k, v in self._groups_of.items()}
-        other._group_members = {k: list(v) for k, v in self._group_members.items()}
+        other._group_members = {k: dict(v) for k, v in self._group_members.items()}
         other._group_kind = dict(self._group_kind)
         other._actors_of = {k: list(v) for k, v in self._actors_of.items()}
-        other._actor_packages = {k: list(v) for k, v in self._actor_packages.items()}
-        other._actor_label = dict(self._actor_label)
+        other._actor_packages = {k: dict(v) for k, v in self._actor_packages.items()}
         other._norm_names = {k: set(v) for k, v in self._norm_names.items()}
         other._deletions = {k: set(v) for k, v in self._deletions.items()}
         other._indexed_reports = set(self._indexed_reports)
@@ -141,12 +157,8 @@ class IntelIndex:
         """Register one package in every per-entry index (idempotent)."""
         pid = entry.package
         name = pid.name.lower()
-        bucket = self._by_name.setdefault(name, [])
-        if pid not in bucket:
-            bucket.append(pid)
-        eco_bucket = self._by_ecosystem.setdefault(pid.ecosystem, [])
-        if pid not in eco_bucket:
-            eco_bucket.append(pid)
+        self._by_name.setdefault(name, {})[pid] = None
+        self._by_ecosystem.setdefault(pid.ecosystem, {})[pid] = None
         self.register_sha(entry)
         norm = _normalize(pid.name)
         if norm:
@@ -159,20 +171,13 @@ class IntelIndex:
         sha = entry.sha256()
         if sha is None:
             return
-        bucket = self._by_sha.setdefault(sha, [])
-        if entry.package not in bucket:
-            bucket.append(entry.package)
+        self._by_sha.setdefault(sha, {})[entry.package] = None
 
     def unregister_sha(self, sha256: Optional[str], pid) -> None:
         """Drop one package from a signature bucket (artifact replaced
         or package removed)."""
-        if sha256 is None:
-            return
-        bucket = self._by_sha.get(sha256)
-        if bucket is not None and pid in bucket:
-            bucket.remove(pid)
-            if not bucket:
-                del self._by_sha[sha256]
+        if sha256 is not None:
+            _discard(self._by_sha, sha256, pid)
 
     def remove_entry(self, entry: DatasetEntry) -> None:
         """Unregister one package from every per-entry index.
@@ -182,25 +187,17 @@ class IntelIndex:
         """
         pid = entry.package
         name = pid.name.lower()
-        bucket = self._by_name.get(name)
-        if bucket is not None and pid in bucket:
-            bucket.remove(pid)
-            if not bucket:
-                del self._by_name[name]
-        eco_bucket = self._by_ecosystem.get(pid.ecosystem)
-        if eco_bucket is not None and pid in eco_bucket:
-            eco_bucket.remove(pid)
-            if not eco_bucket:
-                del self._by_ecosystem[pid.ecosystem]
+        _discard(self._by_name, name, pid)
+        _discard(self._by_ecosystem, pid.ecosystem, pid)
         self.unregister_sha(entry.sha256(), pid)
         for group_id in self._groups_of.pop(pid, []):
             members = self._group_members.get(group_id)
-            if members is not None and pid in members:
-                members.remove(pid)
+            if members is not None:
+                members.pop(pid, None)
         for alias in self._actors_of.pop(pid, []):
             alias_bucket = self._actor_packages.get(alias.lower())
-            if alias_bucket is not None and pid in alias_bucket:
-                alias_bucket.remove(pid)
+            if alias_bucket is not None:
+                alias_bucket.pop(pid, None)
         # the typo-squat neighbourhood tracks *names*; only an orphaned
         # name leaves it
         if name not in self._by_name:
@@ -220,10 +217,9 @@ class IntelIndex:
     def register_group(self, group_id: str, kind: GroupKind, members: Sequence) -> None:
         """Register a family/campaign group over member package ids."""
         self._group_kind[group_id] = kind
-        held = self._group_members.setdefault(group_id, [])
+        held = self._group_members.setdefault(group_id, {})
         for pid in members:
-            if pid not in held:
-                held.append(pid)
+            held[pid] = None
             groups = self._groups_of.setdefault(pid, [])
             if group_id not in groups:
                 groups.append(group_id)
@@ -267,13 +263,11 @@ class IntelIndex:
         if not report.actor_alias:
             return
         alias_key = report.actor_alias.lower()
-        self._actor_label.setdefault(alias_key, report.actor_alias)
-        bucket = self._actor_packages.setdefault(alias_key, [])
+        bucket = self._actor_packages.setdefault(alias_key, {})
         for pid in report.packages:
             if self.dataset.get(pid) is None:
                 continue
-            if pid not in bucket:
-                bucket.append(pid)
+            bucket[pid] = None
             aliases = self._actors_of.setdefault(pid, [])
             if report.actor_alias not in aliases:
                 aliases.append(report.actor_alias)
@@ -336,9 +330,6 @@ class IntelIndex:
 
     def actors_of(self, pid) -> List[str]:
         return list(self._actors_of.get(pid, ()))
-
-    def actor_aliases(self) -> List[str]:
-        return sorted(self._actor_label.values())
 
     def related(self, pid, limit: int = 25) -> List[str]:
         """Graph-neighbour node ids across every edge type (capped).

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.edges import node_id
 from repro.core.groups import GroupKind
+from repro.ecosystem.package import PackageId
 from repro.intel.sources import SOURCE_PROFILES
 from repro.service.index import IntelIndex, source_reliability
 
@@ -112,3 +113,26 @@ def test_stats_counters(intel_index, small_dataset):
 def test_build_from_malgraph_carries_graph(intel_index, service_malgraph):
     assert intel_index.graph is service_malgraph.graph
     assert intel_index.package_count == len(service_malgraph.dataset)
+
+
+def test_build_is_linear_in_package_id_comparisons(service_malgraph, monkeypatch):
+    # A membership scan of a bucket compares ids pairwise and makes the
+    # build quadratic; a hashed bucket compares one id per hash hit.
+    calls = 0
+    original_eq = PackageId.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return original_eq(self, other)
+
+    monkeypatch.setattr(PackageId, "__eq__", counting_eq)
+    IntelIndex.build(service_malgraph)
+    monkeypatch.undo()
+
+    dataset = service_malgraph.dataset
+    memberships = sum(
+        len(group.members) for kind in GroupKind for group in service_malgraph.groups(kind)
+    )
+    mentions = sum(len(report.packages) for report in dataset.reports)
+    assert calls <= 2 * (len(dataset) + memberships + mentions)

@@ -367,6 +367,15 @@ def test_warm_jobs_after_subcommand_does_not_clobber_global(tmp_path, capsys):
     assert "pipeline report" in capsys.readouterr().out
 
 
+def test_warm_with_report_prints_the_table_once(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = SMALL + ["--cache-dir", str(cache), "--no-disk-cache", "--report", "warm"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    header = "stage       status  source   seconds  peak_rss_mb"
+    assert (captured.out + captured.err).count(header) == 1
+
+
 def test_warm_with_no_disk_cache_writes_nothing(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(SMALL + ["--cache-dir", str(cache), "--no-disk-cache", "warm"]) == 0
