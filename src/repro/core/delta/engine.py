@@ -275,7 +275,9 @@ class DeltaReport:
             f"{self.nodes_touched} nodes touched | "
             f"cliques +{cliques_added}/-{cliques_removed}, "
             f"edges +{self.edges_added}/-{self.edges_removed} | "
-            f"groups {groups} | {self.seconds:.2f}s"
+            f"groups {groups} | embedded {self.embed_cache_misses}/"
+            f"{self.embed_cache_hits + self.embed_cache_misses} | "
+            f"{self.seconds:.2f}s"
         )
 
 

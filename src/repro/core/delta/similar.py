@@ -6,9 +6,11 @@ each K-Means cluster into cosine-similarity connected components. Both
 are *incremental by nature*:
 
 * embeddings are pure functions of the artifact bytes — the stage keeps
-  a per-SHA256 vector cache (backed by the pipeline store's persistent
-  ``embeddings`` tier when available), so a delta batch embeds only the
-  artifacts it introduced;
+  a per-SHA256 vector matrix and resolves shas it has not seen through
+  the same store tiers as the cold build
+  (:func:`repro.core.similarity.embed_artifacts`: memory, then disk, then
+  the embedder), so a delta batch embeds only the artifacts it
+  introduced, even on a graph the process did not build itself;
 * cosine similarity between two vectors does not depend on the K-Means
   clustering at all — the stage maintains *global* connected components
   of the "cosine ≥ threshold" graph over every unique rounded vector it
@@ -49,8 +51,9 @@ from repro.core.similarity import (
     SimilarityConfig,
     SimilarityResult,
     SimilarityTimings,
-    embedder_payload,
+    embed_artifacts,
 )
+from repro.ecosystem.package import PackageArtifact
 
 
 class _IntUnionFind:
@@ -103,9 +106,8 @@ class IncrementalSimilarStage:
             structural_weight=config.structural_weight,
             lexical_weight=config.lexical_weight,
         )
-        #: sha256 -> unit embedding vector (the per-artifact cache)
-        self._vectors: Dict[str, np.ndarray] = {}
-        #: sha256 -> row in the stacked vector matrix (gather source)
+        #: sha256 -> row in the stacked vector matrix (the per-artifact
+        #: cache and gather source)
         self._sha_row: Dict[str, int] = {}
         self._sha_matrix: Optional[np.ndarray] = None
         #: sha256 -> interned key id of its rounded vector
@@ -125,48 +127,26 @@ class IncrementalSimilarStage:
         store,
         timings: SimilarityTimings,
     ) -> np.ndarray:
-        unique = set(shas)
-        timings.unique_artifacts = len(unique)
-        fp = self.embedder.fingerprint() if store is not None else None
-        if store is not None:
-            missing = sorted(sha for sha in unique if sha not in self._vectors)
-            if missing:
-                self._vectors.update(store.load_embeddings(fp, missing))
-        to_compute = sorted(sha for sha in unique if sha not in self._vectors)
-        timings.cache_hits = len(unique) - len(to_compute)
-        timings.cache_misses = len(to_compute)
-        if to_compute:
-            # one representative artifact per missing sha — cached shas
-            # never reach the embedder, so the steady-state batch pays
-            # only for the artifacts it introduced
-            wanted = set(to_compute)
-            pending = []
-            for entry, sha in zip(entries, shas):
-                if sha in wanted:
-                    wanted.discard(sha)
-                    pending.append(entry.artifact)
-            self.embedder.embed_many(
-                pending, jobs=self.config.jobs, cache=self._vectors
-            )
-            if store is not None:
-                store.save_embeddings(
-                    fp,
-                    {sha: self._vectors[sha] for sha in to_compute},
-                    embedder_payload(self.embedder),
-                )
+        # one representative artifact per sha this stage has not seen;
+        # the store's tiers serve those the cold build already embedded,
+        # so a batch embeds only the artifacts it introduced
+        unseen: Dict[str, PackageArtifact] = {}
+        for entry, sha in zip(entries, shas):
+            if sha not in self._sha_row and sha not in unseen:
+                unseen[sha] = entry.artifact
+        block = embed_artifacts(
+            self.embedder, list(unseen.values()), self.config.jobs, store, timings
+        )
+        held = len(set(shas)) - len(unseen)  # already rows of _sha_matrix
+        timings.unique_artifacts += held
+        timings.cache_hits += held
         # assemble the (n, dim) matrix as a vectorised row gather over a
         # persistent per-sha matrix instead of a python loop per entry;
         # rows are the exact cached vectors, so the matrix matches what
         # embed_many over the full batch would return
-        new_rows: List[np.ndarray] = []
-        for sha in shas:
-            if sha not in self._sha_row:
+        if unseen:
+            for sha in unseen:
                 self._sha_row[sha] = len(self._sha_row)
-                new_rows.append(self._vectors[sha])
-        if new_rows:
-            # float64 like embed_many's output matrix, whatever the
-            # persistent tier handed back
-            block = np.vstack(new_rows).astype(np.float64, copy=False)
             self._sha_matrix = (
                 block
                 if self._sha_matrix is None
@@ -192,7 +172,8 @@ class IncrementalSimilarStage:
                 seen.add(sha)
                 missing.append(sha)
         if missing:
-            rounded = np.vstack([self._vectors[sha] for sha in missing]).round(9)
+            rows = [self._sha_row[sha] for sha in missing]
+            rounded = self._sha_matrix[rows].round(9)
             for sha, key_id in zip(missing, self._intern_keys(rounded)):
                 self._sha_key[sha] = key_id
         return [self._sha_key[sha] for sha in shas]

@@ -146,7 +146,7 @@ def cluster_artifacts(
     )
     timings = SimilarityTimings(artifacts=n, jobs=config.jobs)
     started = time.perf_counter()
-    X = _embed_artifacts(embedder, artifacts, config.jobs, store, timings)
+    X = embed_artifacts(embedder, artifacts, config.jobs, store, timings)
     timings.embed_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -183,14 +183,18 @@ def cluster_artifacts(
     )
 
 
-def _embed_artifacts(
+def embed_artifacts(
     embedder: AstEmbedder,
     artifacts: Sequence[PackageArtifact],
     jobs: int,
     store,
     timings: SimilarityTimings,
 ) -> np.ndarray:
-    """Embed through the persistent cache (when a store is given)."""
+    """Embed ``artifacts`` into an (n, dim) matrix through the store's
+    ``embeddings`` tiers: memory, then disk (absent or corrupt vector
+    files are misses), then the embedder, whose fresh vectors are
+    written back. Sets the unique/hit/miss counts of ``timings``.
+    ``store=None`` embeds everything and caches nothing."""
     shas = {artifact.sha256() for artifact in artifacts}
     timings.unique_artifacts = len(shas)
     if store is None:

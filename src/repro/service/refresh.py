@@ -67,6 +67,7 @@ from repro.core.delta.events import (
 )
 from repro.core.groups import GroupKind
 from repro.core.malgraph import MalGraph
+from repro.pipeline import get_store
 from repro.service.cache import EnrichmentService
 from repro.service.index import IntelIndex
 
@@ -195,7 +196,9 @@ def _apply_events(
     stats = RefreshStats()
 
     if malgraph is not None:
-        evolved, _ = malgraph.apply_delta(events, in_place=True)
+        evolved, _ = malgraph.apply_delta(
+            events, store=get_store(), in_place=True
+        )
         new_dataset = evolved.dataset
         index.graph = evolved.graph
     else:

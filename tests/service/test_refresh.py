@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import pipeline
 from repro.collection.records import MalwareDataset
+from repro.core.delta.events import apply_events_to_dataset
+from repro.core.embedding import AstEmbedder
 from repro.core.groups import GroupKind
 from repro.core.malgraph import MalGraph
 from repro.service.cache import EnrichmentService, build_service
@@ -14,6 +17,12 @@ from repro.service.enrich import (
     Indicator,
 )
 from repro.core.delta.events import GraphEvent
+from repro.io.malgraphs import (
+    canonical_malgraph_json,
+    load_malgraph_bundle,
+    save_malgraph_bundle,
+)
+from repro.pipeline.store import EMBEDDINGS_STAGE
 from repro.service.index import IntelIndex
 from repro.service.refresh import refresh_from_events, refresh_index
 
@@ -153,6 +162,97 @@ def test_refresh_from_events_with_malgraph_mirrors_exact_groups():
     assert members == {"seed-pkg", "late-twin"}
     assert service.index.epoch == 1
     assert service.enrich(Indicator(name="late-twin")).verdict == VERDICT_MALICIOUS
+
+
+# -- embedding reuse on the malgraph path -----------------------------------
+
+
+def _code(tag: str, i) -> str:
+    # ``tag`` keeps these artifacts out of every other test's vectors in
+    # the session store
+    return f"def {tag}_{i}(arg):\n    return arg + {i!r}\n"
+
+
+def _corpus(tag: str):
+    return dataset([entry(f"{tag}-{i}", code=_code(tag, i)) for i in range(6)])
+
+
+def _batch(tag: str):
+    """Two packages with new code, a twin of ``{tag}-0`` and a removal;
+    returns the events and the shas only the batch brings."""
+    fresh = [entry(f"{tag}-new-{i}", code=_code(tag, f"new{i}")) for i in range(2)]
+    events = [GraphEvent.package_added(e) for e in fresh] + [
+        GraphEvent.package_added(entry(f"{tag}-twin", code=_code(tag, 0))),
+        GraphEvent.package_removed(entry(f"{tag}-1").package),
+    ]
+    return events, sorted(e.sha256() for e in fresh)
+
+
+@pytest.fixture
+def embed_calls(monkeypatch):
+    """sha256 of every artifact ``AstEmbedder.embed_package`` embeds."""
+    calls = []
+    original = AstEmbedder.embed_package
+
+    def spy(self, artifact):
+        calls.append(artifact.sha256())
+        return original(self, artifact)
+
+    monkeypatch.setattr(AstEmbedder, "embed_package", spy)
+    # tests swap the process-wide store; the original comes back after
+    monkeypatch.setattr(pipeline, "_store", pipeline.get_store())
+    return calls
+
+
+def _refresh(malgraph, base, events, embed_calls):
+    """Apply ``events`` on the malgraph path, check the evolved graph
+    against a cold rebuild, and return the shas the refresh embedded."""
+    service = build_service(malgraph)
+    embed_calls.clear()
+    refresh_from_events(service.index, events, service=service, malgraph=malgraph)
+    embedded = sorted(embed_calls)
+    rebuilt = MalGraph.build(
+        apply_events_to_dataset(base, events), store=pipeline.get_store()
+    )
+    assert canonical_malgraph_json(malgraph) == canonical_malgraph_json(rebuilt)
+    return embedded
+
+
+def test_malgraph_refresh_embeds_only_the_batchs_new_artifacts(embed_calls):
+    base = _corpus("warm")
+    # the cold build fills the store's embedding tiers
+    malgraph = MalGraph.build(base, store=pipeline.get_store())
+    events, fresh = _batch("warm")
+    assert _refresh(malgraph, base, events, embed_calls) == fresh
+
+
+def test_malgraph_refresh_without_disk_tier_re_embeds(embed_calls, tmp_path):
+    base = _corpus("nodisk")
+    bundle = save_malgraph_bundle(
+        MalGraph.build(base, store=pipeline.get_store()), tmp_path / "bundle"
+    )
+    pipeline.configure(disk_enabled=False)  # empty memory tier, no disk tier
+    events, _ = _batch("nodisk")
+    embedded = _refresh(load_malgraph_bundle(bundle), base, events, embed_calls)
+    evolved = apply_events_to_dataset(base, events)
+    assert embedded == sorted({e.sha256() for e in evolved.available_entries()})
+
+
+def test_malgraph_refresh_re_embeds_a_corrupt_vector_file(embed_calls, tmp_path):
+    cache = tmp_path / "cache"
+    base = _corpus("corrupt")
+    bundle = save_malgraph_bundle(
+        MalGraph.build(base, store=pipeline.configure(cache_dir=cache)),
+        tmp_path / "bundle",
+    )
+    victim = base.entries[0].sha256()
+    entry_dir = cache / EMBEDDINGS_STAGE / AstEmbedder().fingerprint()
+    (entry_dir / f"{victim}.npy").write_bytes(b"not a numpy file")
+    pipeline.configure(cache_dir=cache)  # a new process: memory tier empty
+    events, fresh = _batch("corrupt")
+    embedded = _refresh(load_malgraph_bundle(bundle), base, events, embed_calls)
+    # the corrupt vector is a miss like the batch's own artifacts
+    assert embedded == sorted(fresh + [victim])
 
 
 # -- snapshot publication ---------------------------------------------------

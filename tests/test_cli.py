@@ -509,6 +509,58 @@ def test_update_command_writes_to_out_dir(tmp_path, capsys):
     assert evolved.dataset.get(entry("other").package) is not None
 
 
+def test_update_twice_over_one_cache_embeds_only_new_artifacts(
+    tmp_path, capsys, monkeypatch
+):
+    from repro import pipeline
+    from repro.core.delta.events import GraphEvent, events_to_jsonl
+    from repro.core.embedding import AstEmbedder
+    from repro.core.malgraph import MalGraph
+    from repro.io.malgraphs import save_malgraph_bundle
+
+    from tests.core.helpers import dataset, entry
+
+    def code(i):
+        return f"def cli_update_{i}():\n    return {i!r}\n"
+
+    calls = []
+    original = AstEmbedder.embed_package
+
+    def spy(self, artifact):
+        calls.append(artifact.sha256())
+        return original(self, artifact)
+
+    monkeypatch.setattr(AstEmbedder, "embed_package", spy)
+    monkeypatch.setattr(pipeline, "_store", pipeline.get_store())  # main() swaps it
+    bundle = tmp_path / "bundle"
+    save_malgraph_bundle(
+        MalGraph.build(dataset([entry(f"seed-{i}", code=code(i)) for i in range(3)])),
+        bundle,
+    )
+    first = events_to_jsonl(
+        [GraphEvent.package_added(entry("late-a", code=code("a")))],
+        tmp_path / "first.jsonl",
+    )
+    late_b = entry("late-b", code=code("b"))
+    second = events_to_jsonl(
+        [
+            GraphEvent.package_added(late_b),
+            GraphEvent.package_added(entry("late-twin", code=code(0))),
+        ],
+        tmp_path / "second.jsonl",
+    )
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    calls.clear()
+    assert main(cache + ["update", "--graph", str(bundle), str(first)]) == 0
+    # the cache starts empty, so the first update embeds the whole corpus
+    assert len(calls) == 4
+    assert "embedded 4/4" in capsys.readouterr().out
+    calls.clear()
+    assert main(cache + ["update", "--graph", str(bundle), str(second)]) == 0
+    assert calls == [late_b.sha256()]
+    assert "embedded 1/5" in capsys.readouterr().out
+
+
 def test_update_command_error_paths(tmp_path, capsys):
     from repro.core.delta.events import GraphEvent, events_to_jsonl
     from repro.core.malgraph import MalGraph
