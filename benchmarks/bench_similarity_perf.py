@@ -4,7 +4,7 @@ Standalone script (not a pytest bench) so CI can run it in fast mode:
 
     PYTHONPATH=src python benchmarks/bench_similarity_perf.py --fast
 
-Three comparisons, each with a hard correctness gate before any number
+Four comparisons, each with a hard correctness gate before any number
 is reported:
 
 1. **serial vs parallel** ``MalGraph.build`` — the parallel graph must
@@ -15,7 +15,11 @@ is reported:
    groups;
 3. **cold vs warm-start** ``grow_kmeans`` — on recoverable structure the
    warm-started growth loop must reach the identical partition, in no
-   more total Lloyd iterations.
+   more total Lloyd iterations;
+4. **per-artifact vs batch embedding** over packages that share source
+   files — ``embed_many`` embeds each distinct file once, and its matrix
+   must equal the stacked per-artifact ``embed_package`` vectors byte
+   for byte at ``jobs`` 1 and 2.
 
 Speedups depend on the host (a single-core runner cannot show a
 parallel win); the correctness gates do not.
@@ -33,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.embedding import AstEmbedder
 from repro.core.kmeans import grow_kmeans
 from repro.core.malgraph import MalGraph
 from repro.core.similarity import SimilarityConfig, cluster_artifacts
@@ -152,6 +157,32 @@ def bench_warm_start(rounds: int) -> None:
     )
 
 
+def bench_shared_files(artifacts, rounds: int) -> None:
+    print("\n== per-artifact vs batch embedding (shared source files) ==")
+    unique = list({a.sha256(): a for a in artifacts}.values())
+    files = [s for a in unique for s in a.code_files().values()]
+    distinct = len(set(files))
+    assert distinct < len(files), "batch shares no source files"
+    embedder = AstEmbedder()
+    single_s, reference = _timed(
+        lambda: np.stack([embedder.embed_package(a) for a in unique]), rounds
+    )
+    print(
+        f"per-artifact {single_s:8.3f}s   {len(unique)} artifacts, "
+        f"{distinct}/{len(files)} source files distinct "
+        f"({distinct / len(files):.0%})"
+    )
+    for jobs in (1, 2):
+        batch_s, matrix = _timed(lambda: embedder.embed_many(unique, jobs=jobs), rounds)
+        assert matrix.tobytes() == reference.tobytes(), (
+            f"embed_many(jobs={jobs}) differs from per-artifact embed_package"
+        )
+        print(
+            f"batch jobs={jobs} {batch_s:8.3f}s   speedup {single_s / batch_s:5.2f}x"
+            "   (byte-identical: yes)"
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.5)
@@ -177,6 +208,7 @@ def main(argv=None) -> int:
     bench_serial_vs_parallel(dataset, args.jobs, args.rounds)
     bench_embedding_cache(artifacts, args.rounds)
     bench_warm_start(args.rounds)
+    bench_shared_files(artifacts, args.rounds)
     print("\nall correctness gates passed")
     return 0
 

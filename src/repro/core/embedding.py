@@ -19,10 +19,13 @@ product.
 The embedder is the hot path of ``MalGraph.build``, so it is built to
 scale: one fused AST pass collects both feature families, the
 feature→bucket mapping is memoised process-wide (the same digrams repeat
-across every package), batches deduplicate by SHA256 before any work,
-and :meth:`AstEmbedder.embed_many` can fan the unique artifacts out over
-a process pool — the resulting matrix is byte-identical to the serial
-path because each vector is a pure function of the artifact bytes.
+across every package), batches deduplicate by SHA256 before any work and
+then embed each distinct source file once (malicious packages reuse the
+same files, so most files of a batch are repeats), and
+:meth:`AstEmbedder.embed_many` can fan the distinct files out over a
+process pool — the resulting matrix is byte-identical to the serial path
+because each file vector is a pure function of the source text and each
+package vector sums its file vectors in the same order either way.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     MutableMapping,
     Optional,
     Sequence,
@@ -61,8 +65,8 @@ DEFAULT_DIM = 256
 #: single-pass AST walk.
 FEATURE_VERSION = 2
 
-#: Below this many *unique* artifacts a process pool costs more than it
-#: saves; :meth:`AstEmbedder.embed_many` stays serial regardless of the
+#: Below this many *distinct source files* a process pool costs more than
+#: it saves; :meth:`AstEmbedder.embed_many` stays serial regardless of the
 #: requested ``jobs``.
 PARALLEL_MIN_BATCH = 32
 
@@ -180,11 +184,12 @@ def _token_fallback_features(source: str) -> Iterable[str]:
         yield f"tok:{''.join(token)}"
 
 
-def _embed_chunk(
-    embedder: "AstEmbedder", chunk: List[Tuple[str, PackageArtifact]]
-) -> List[Tuple[str, np.ndarray]]:
-    """Worker body: embed one chunk of (sha256, artifact) pairs."""
-    return [(sha, embedder.embed_package(artifact)) for sha, artifact in chunk]
+def _embed_chunk(embedder: "AstEmbedder", sources: List[str]) -> np.ndarray:
+    """Worker body: embed one chunk of source texts into a (len, dim) array."""
+    rows = np.empty((len(sources), embedder.dim), dtype=np.float64)
+    for row, source in enumerate(sources):
+        rows[row] = embedder.embed_source(source)
+    return rows
 
 
 @dataclass
@@ -243,16 +248,30 @@ class AstEmbedder:
             index, sign = _bucket(feature, self.dim)
             vector[index] += sign * weight * math.log1p(count)
 
-    def embed_package(self, artifact: PackageArtifact) -> np.ndarray:
-        """Embed a package: normalised sum of its code-file embeddings."""
+    def embed_package(
+        self,
+        artifact: PackageArtifact,
+        source_vectors: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Embed a package: normalised sum of its code-file embeddings,
+        in :meth:`PackageArtifact.code_files` order.
+
+        ``source_vectors`` maps source text to its :meth:`embed_source`
+        vector and must cover every code file; batches pass the vectors
+        of their distinct files. Without it the files are embedded here.
+        """
         code_files = artifact.code_files()
         if not code_files:
             raise EmbeddingError(
                 f"{artifact.id} has no code files to embed"
             )
+        if source_vectors is None:
+            source_vectors = {
+                source: self.embed_source(source) for source in code_files.values()
+            }
         total = np.zeros(self.dim, dtype=np.float64)
-        for _path, source in code_files.items():
-            total += self.embed_source(source)
+        for source in code_files.values():
+            total += source_vectors[source]
         return self._normalize(total)
 
     def embed_many(
@@ -265,8 +284,9 @@ class AstEmbedder:
 
         Artifacts are deduplicated by SHA256 before any embedding work,
         vectors already present in ``cache`` (sha256 → vector) are
-        reused, and the remaining unique artifacts are embedded with up
-        to ``jobs`` worker processes (``0`` = one per core). ``cache``
+        reused, and the distinct source files of the remaining unique
+        artifacts are embedded once each, with up to ``jobs`` worker
+        processes (``0`` = one per core). ``cache``
         is updated in place with every newly computed vector. The matrix
         is byte-identical for any ``jobs``/``cache`` combination.
         """
@@ -288,28 +308,44 @@ class AstEmbedder:
     def _embed_unique(
         self, pending: List[Tuple[str, PackageArtifact]], jobs: int
     ) -> Dict[str, np.ndarray]:
-        """Embed deduplicated (sha256, artifact) pairs, in parallel when
-        the batch is big enough to pay for the pool."""
-        workers = min(resolve_jobs(jobs), len(pending))
-        if workers <= 1 or len(pending) < PARALLEL_MIN_BATCH:
-            return {sha: self.embed_package(a) for sha, a in pending}
-        # Deterministic contiguous chunks, one per worker; merge order is
-        # irrelevant because each vector is keyed by its sha256.
-        chunk_size = -(-len(pending) // workers)
-        chunks = [
-            pending[start : start + chunk_size]
-            for start in range(0, len(pending), chunk_size)
-        ]
-        computed: Dict[str, np.ndarray] = {}
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for rows in pool.map(_embed_chunk, [self] * len(chunks), chunks):
-                    computed.update(rows)
-        except (OSError, PermissionError):
-            # Process pools can be unavailable (restricted sandboxes,
-            # exhausted fds); the serial path computes the same matrix.
-            return {sha: self.embed_package(a) for sha, a in pending}
-        return computed
+        """Embed deduplicated (sha256, artifact) pairs: each distinct
+        source file once, then each package as the sum of its files."""
+        sources = list(
+            dict.fromkeys(
+                source
+                for _sha, artifact in pending
+                for source in artifact.code_files().values()
+            )
+        )
+        # Row views into one array: the vectors are freed as one block.
+        source_vectors = dict(zip(sources, self._embed_sources(sources, jobs)))
+        return {
+            sha: self.embed_package(artifact, source_vectors)
+            for sha, artifact in pending
+        }
+
+    def _embed_sources(self, sources: List[str], jobs: int) -> np.ndarray:
+        """Embed distinct source texts into a (len, dim) array, in
+        parallel when the batch is big enough to pay for the pool."""
+        workers = min(resolve_jobs(jobs), len(sources))
+        if workers > 1 and len(sources) >= PARALLEL_MIN_BATCH:
+            # Deterministic contiguous chunks, one per worker, stacked in
+            # order.
+            chunk_size = -(-len(sources) // workers)
+            chunks = [
+                sources[start : start + chunk_size]
+                for start in range(0, len(sources), chunk_size)
+            ]
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    return np.concatenate(
+                        list(pool.map(_embed_chunk, [self] * len(chunks), chunks))
+                    )
+            except (OSError, PermissionError):
+                # Process pools can be unavailable (restricted sandboxes,
+                # exhausted fds); the serial path computes the same rows.
+                pass
+        return _embed_chunk(self, sources)
 
     @staticmethod
     def _normalize(vector: np.ndarray) -> np.ndarray:

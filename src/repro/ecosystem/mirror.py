@@ -67,7 +67,7 @@ class MirrorRegistry:
         if self.archival:
             self._store.update(snapshot)
         else:
-            self._store = dict(snapshot)
+            self._store = snapshot
         self.last_sync_day = day
 
     def maybe_sync(self, day: int) -> bool:

@@ -69,7 +69,11 @@ class Registry:
     def __init__(self, ecosystem: str):
         self.ecosystem = ecosystem
         self._packages: Dict[Tuple[str, str], PublishedPackage] = {}
-        self._retired_names: Dict[str, int] = {}
+        # The live subset of ``_packages`` in publish order, kept as the
+        # life cycle runs so a mirror sync copies it instead of scanning
+        # every package ever published. A removed key can never be
+        # re-published, so no key ever re-enters out of order.
+        self._live: Dict[Tuple[str, str], PackageArtifact] = {}
         self.events: List[RegistryEvent] = []
 
     # -- queries ------------------------------------------------------------
@@ -99,12 +103,6 @@ class Registry:
             )
         return record.artifact
 
-    def name_taken(self, name: str) -> bool:
-        """True if any version of ``name`` was ever published."""
-        if name in self._retired_names:
-            return True
-        return any(n == name for (n, _v) in self._packages)
-
     def live_packages(self) -> Iterable[PublishedPackage]:
         return (r for r in self._packages.values() if r.live)
 
@@ -112,12 +110,9 @@ class Registry:
         return self._packages.values()
 
     def live_snapshot(self) -> Dict[Tuple[str, str], PackageArtifact]:
-        """Mapping of live (name, version) -> artifact; used by mirror sync."""
-        return {
-            key: record.artifact
-            for key, record in self._packages.items()
-            if record.live
-        }
+        """Fresh mapping of live (name, version) -> artifact in publish
+        order; used by mirror sync."""
+        return dict(self._live)
 
     # -- life cycle -----------------------------------------------------------
     def publish(
@@ -139,6 +134,7 @@ class Registry:
             artifact=artifact, release_day=day, malicious=malicious
         )
         self._packages[key] = record
+        self._live[key] = artifact
         self.events.append(RegistryEvent(EventKind.PUBLISH, artifact.id, day))
         return record
 
@@ -157,7 +153,7 @@ class Registry:
         if record.removal_day is not None:
             return
         record.removal_day = day
-        self._retired_names[name] = day
+        del self._live[(name, version)]
         self.events.append(RegistryEvent(EventKind.REMOVE, record.artifact.id, day))
 
     def record_downloads(self, name: str, version: str, count: int) -> None:

@@ -252,6 +252,47 @@ def test_embed_many_deduplicates_before_embedding(embedder):
     assert np.array_equal(matrix[0], matrix[4])
 
 
+def _sharing_artifacts():
+    """48 distinct packages built from 38 distinct source files: every
+    package pairs one of 36 handlers with one of 2 common modules, and
+    every fifth carries its handler twice."""
+    handlers = [f"def shared_{k}(x):\n    return x + {k}\n" for k in range(36)]
+    commons = ["import os\nROOT = os.getcwd()\n", "import sys\nARGS = sys.argv[1:]\n"]
+    artifacts = []
+    for i in range(48):
+        files = {
+            f"share{i}/handler.py": handlers[i % 36],
+            f"share{i}/common.py": commons[i % 2],
+        }
+        if i % 5 == 0:
+            files[f"share{i}/copy.py"] = handlers[i % 36]
+        artifacts.append(make_artifact("pypi", f"share{i}", "1.0.0", files))
+    return artifacts, set(handlers) | set(commons)
+
+
+def test_embed_many_embeds_each_distinct_source_once(embedder, monkeypatch):
+    """Packages that share files: one ``embed_source`` call per distinct
+    source text, and the matrix is byte-identical to stacking the
+    per-artifact embeddings, serial or over a pool."""
+    artifacts, distinct = _sharing_artifacts()
+    assert len({a.sha256() for a in artifacts}) == len(artifacts)
+    assert len(distinct) >= PARALLEL_MIN_BATCH  # jobs=2 engages the pool
+    reference = np.stack([embedder.embed_package(a) for a in artifacts])
+    calls = []
+    original = AstEmbedder.embed_source
+
+    def spy(self, source):
+        calls.append(source)
+        return original(self, source)
+
+    monkeypatch.setattr(AstEmbedder, "embed_source", spy)
+    serial = embedder.embed_many(artifacts, jobs=1)
+    assert sorted(calls) == sorted(distinct)
+    parallel = embedder.embed_many(artifacts, jobs=2)
+    assert serial.tobytes() == reference.tobytes()
+    assert parallel.tobytes() == reference.tobytes()
+
+
 def test_embed_many_honours_and_updates_the_cache(embedder):
     artifacts = _distinct_artifacts(3)
     poisoned = np.zeros(embedder.dim)

@@ -96,3 +96,95 @@ def test_archival_dominates_lagging(script):
     lagging_keys = set(lagging._store)
     archival_keys = set(archival._store)
     assert lagging_keys <= archival_keys
+
+
+# -- exact stores: content and insertion order --------------------------------
+
+versioned_actions = st.lists(
+    st.tuples(
+        st.sampled_from(["publish", "detect", "remove", "sync"]),
+        st.integers(0, 4),  # package index
+        st.integers(0, 2),  # version index
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _live_filter(registry: Registry):
+    """Reference live set: the ``live`` flag over every package ever
+    published, in publish order."""
+    return {
+        (record.artifact.name, record.artifact.version): record.artifact
+        for record in registry.all_packages()
+        if record.live
+    }
+
+
+def _assert_same_store(store, reference):
+    assert list(store) == list(reference), "same keys in the same order"
+    assert all(store[key] is reference[key] for key in reference)
+
+
+@given(versioned_actions)
+@settings(max_examples=100, deadline=None)
+def test_mirror_stores_equal_the_live_filter_reference(script):
+    registry = Registry("pypi")
+    lagging = MirrorRegistry(name="lag", upstream=registry, sync_interval=1)
+    archival = MirrorRegistry(
+        name="arc", upstream=registry, sync_interval=1, archival=True
+    )
+    lagging_ref: dict = {}
+    archival_ref: dict = {}
+    for day, (verb, idx, ver) in enumerate(script, start=1):
+        key = (f"pkg-{idx}", f"1.{ver}")
+        if verb == "publish" and key not in registry:
+            registry.publish(
+                make_artifact("pypi", *key, {"m/a.py": f"V = {idx}{ver}\n"}),
+                day=day,
+            )
+        elif verb == "detect" and key in registry:
+            registry.mark_detected(*key, day)
+        elif verb == "remove" and key in registry:
+            registry.remove(*key, day)
+        elif verb == "sync":
+            lagging.sync(day)
+            archival.sync(day)
+            lagging_ref = _live_filter(registry)
+            archival_ref.update(lagging_ref)
+        _assert_same_store(registry.live_snapshot(), _live_filter(registry))
+        _assert_same_store(lagging._store, lagging_ref)
+        _assert_same_store(archival._store, archival_ref)
+
+
+def test_world_mirror_syncs_read_no_live_flags(monkeypatch):
+    """Mirror sync copies the registry's live set; it never filters the
+    full package history by ``PublishedPackage.live``."""
+    from repro.ecosystem.mirror import MirrorNetwork
+    from repro.ecosystem.registry import PublishedPackage
+    from repro.world import WorldConfig, build_world
+
+    reads = {"in_tick": 0, "ticks": 0}
+    inside = [False]
+    live = PublishedPackage.live.fget
+    tick = MirrorNetwork.tick
+
+    def counting_live(record):
+        if inside[0]:
+            reads["in_tick"] += 1
+        return live(record)
+
+    def counting_tick(network, day):
+        inside[0] = True
+        reads["ticks"] += 1
+        try:
+            return tick(network, day)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(PublishedPackage, "live", property(counting_live))
+    monkeypatch.setattr(MirrorNetwork, "tick", counting_tick)
+    world = build_world(WorldConfig(seed=3, scale=0.05))
+    assert reads["ticks"] > 0
+    assert sum(len(mirror) for mirror in world.mirrors) > 0
+    assert reads["in_tick"] == 0

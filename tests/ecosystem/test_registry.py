@@ -101,12 +101,14 @@ class TestDetectAndRemove:
         assert len(removes) == 1
 
     def test_removed_name_stays_taken(self, registry):
+        """A removed (name, version) cannot be published again — the
+        mechanism that forces the paper's changing->release loop."""
         registry.publish(art(), day=1)
         registry.remove("left-pad", "1.0.0", day=5)
-        assert registry.name_taken("left-pad"), (
-            "a removed name cannot be re-registered — the mechanism that "
-            "forces the paper's changing->release loop"
-        )
+        with pytest.raises(DuplicatePackageError):
+            registry.publish(art(), day=6)
+        assert registry.get("left-pad", "1.0.0").removal_day == 5
+        assert registry.live_snapshot() == {}
 
     def test_persist_days_none_while_live(self, registry):
         registry.publish(art(), day=1)

@@ -194,9 +194,9 @@ def embed_calls(monkeypatch):
     calls = []
     original = AstEmbedder.embed_package
 
-    def spy(self, artifact):
+    def spy(self, artifact, *args):
         calls.append(artifact.sha256())
-        return original(self, artifact)
+        return original(self, artifact, *args)
 
     monkeypatch.setattr(AstEmbedder, "embed_package", spy)
     # tests swap the process-wide store; the original comes back after

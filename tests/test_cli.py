@@ -526,9 +526,9 @@ def test_update_twice_over_one_cache_embeds_only_new_artifacts(
     calls = []
     original = AstEmbedder.embed_package
 
-    def spy(self, artifact):
+    def spy(self, artifact, *args):
         calls.append(artifact.sha256())
-        return original(self, artifact)
+        return original(self, artifact, *args)
 
     monkeypatch.setattr(AstEmbedder, "embed_package", spy)
     monkeypatch.setattr(pipeline, "_store", pipeline.get_store())  # main() swaps it
